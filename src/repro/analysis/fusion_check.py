@@ -63,13 +63,11 @@ def _check_pipeline(pipeline: Pipeline, findings: list[Finding]) -> None:
     ops = pipeline.operators
 
     # FC03: the pass promises *maximal* runs — two adjacent plain
-    # streaming operators mean a fusible pair survived unfused.  (A single
-    # unfused Filter/Project is legal: expression-compile fallback keeps
-    # whole runs in interpreted form.)
+    # streaming operators mean a fusible pair survived unfused.
     for prev, op in zip(ops, ops[1:]):
         prev_plain = type(prev) in (FilterOp, ProjectOp)
         op_plain = type(op) in (FilterOp, ProjectOp)
-        if prev_plain and op_plain and not _fallback_run(prev, op):
+        if prev_plain and op_plain:
             findings.append(
                 Finding(
                     "FC03",
@@ -166,19 +164,6 @@ def _check_fused_op(op: FusedOp, site: str, findings: list[Finding]) -> None:
                     )
                 )
         prev_schema = stage.output_schema()
-
-
-def _fallback_run(*ops) -> bool:
-    """True when an unfused streaming run is the expression-compile
-    fallback (one of its expressions cannot be lowered) — FusedOp's own
-    constructor is the oracle."""
-    from ..core.expr_eval import UnsupportedExpressionError
-
-    try:
-        FusedOp(list(ops))
-    except UnsupportedExpressionError:
-        return True
-    return False
 
 
 def _starts_with_filter(op) -> bool:

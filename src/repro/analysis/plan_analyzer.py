@@ -32,9 +32,10 @@ PA05    error      aggregate misuse: non-aggregate measure, aggregate call in
 PA06    error      join keys incompatible, or key-less non-inner join
 PA07    warning    exchange misplacement: ignored partition keys, redundant
                    adjacent exchanges (error: shuffle without keys)
-PA08    warning    construct unsupported on the GPU (non-literal LIKE
-                   pattern / IN list / substring bounds, ...): query will
-                   need the cpu-plan fallback tier
+PA08    warning    construct unsupported on the GPU (the expression
+                   compiler rejects it, e.g. a non-literal LIKE pattern /
+                   IN list / substring bounds): query will need the
+                   cpu-plan fallback tier
 PA09    warning    static working set exceeds the device processing pool:
                    query will need the gpu-retry-spill tier
 PA10    error      fetch offset / count negative
@@ -46,13 +47,13 @@ from __future__ import annotations
 from typing import Mapping
 
 from ..columnar import BOOL, Schema, Table
+from ..core.expr_compile import UnsupportedExpressionError, compile_expression
+from ..core.fallback import plan_fingerprint
 from ..plan import Plan
 from ..plan.expressions import (
     AggregateCall,
     Expression,
     FieldRef,
-    Literal,
-    ScalarCall,
     aggregate_result_type,
     infer_type,
 )
@@ -95,16 +96,6 @@ PLAN_RULES = {
     "PA10": "fetch offset/count negative",
 }
 
-# Scalar-call argument positions the device evaluator requires to be
-# literals (mirrors repro.core.expr_eval's _literal_value sites).
-_LITERAL_ONLY_ARGS = {
-    "like": [(1, "LIKE pattern")],
-    "not_like": [(1, "LIKE pattern")],
-    "contains": [(1, "contains needle")],
-    "starts_with": [(1, "starts_with prefix")],
-}
-
-
 def analyze_plan(
     plan: Plan,
     catalog: Mapping[str, Table] | None = None,
@@ -126,8 +117,6 @@ def analyze_plan(
             through the tiered spill store) instead of a prediction of the
             batched ``gpu-retry-spill`` tier.
     """
-    from ..core.fallback import plan_fingerprint  # lazy: core imports us back
-
     report = AnalysisReport(plan_fingerprint=plan_fingerprint(plan))
     analyzer = _PlanAnalyzer(report, catalog)
     schema = analyzer.visit(plan.root, "root")
@@ -437,8 +426,6 @@ class _PlanAnalyzer:
                     site,
                 )
                 ok = False
-            if isinstance(node, ScalarCall):
-                self._check_gpu_support(node, site, what)
         if isinstance(expr, AggregateCall):
             self.flag(
                 "PA05",
@@ -450,10 +437,15 @@ class _PlanAnalyzer:
         if not ok:
             return None
         try:
-            return infer_type(expr, schema)
+            dtype = infer_type(expr, schema)
         except (TypeError, KeyError, IndexError) as exc:
             self.flag("PA03", SEVERITY_ERROR, f"{what}: {exc}", site)
             return None
+        try:
+            compile_expression(expr)
+        except UnsupportedExpressionError as exc:
+            self.flag("PA08", SEVERITY_WARNING, f"{what}: {exc}", site)
+        return dtype
 
     def _check_predicate(
         self, expr: Expression, schema: Schema, site: str, what: str
@@ -466,40 +458,6 @@ class _PlanAnalyzer:
                 f"{what} is not boolean (inferred {dtype})",
                 site,
             )
-
-    def _check_gpu_support(self, call: ScalarCall, site: str, what: str) -> None:
-        """Flag constructs the device evaluator rejects at runtime."""
-        for pos, label in _LITERAL_ONLY_ARGS.get(call.func, ()):
-            if pos < len(call.args) and not isinstance(call.args[pos], Literal):
-                self.flag(
-                    "PA08",
-                    SEVERITY_WARNING,
-                    f"{what}: {label} must be a literal for GPU execution, "
-                    f"got {call.args[pos]!r}",
-                    site,
-                )
-        if call.func in ("in", "not_in"):
-            for arg in call.args[1:]:
-                if not isinstance(arg, Literal):
-                    self.flag(
-                        "PA08",
-                        SEVERITY_WARNING,
-                        f"{what}: IN list element must be a literal for GPU "
-                        f"execution, got {arg!r}",
-                        site,
-                    )
-        if call.func == "substring" and not (
-            "start" in call.options and "length" in call.options
-        ):
-            for pos, label in ((1, "substring start"), (2, "substring length")):
-                if pos < len(call.args) and not isinstance(call.args[pos], Literal):
-                    self.flag(
-                        "PA08",
-                        SEVERITY_WARNING,
-                        f"{what}: {label} must be a literal for GPU execution, "
-                        f"got {call.args[pos]!r}",
-                        site,
-                    )
 
 
 def _walk_expr(expr: Expression):

@@ -58,8 +58,8 @@ def run_tpch_suite(queries=(1, 3, 6)) -> SanitizerReport:
         # Caching region capped below the working set: cold loads must
         # evict/spill mid-suite, exercising SA02/SA08 paths for real.
         "spill": {"memory_limit_gb": 0.0125, "overlap": True},
-        # Fused streaming runs: the compiled-expression path must satisfy
-        # the same dynamic invariants as the interpreted one.
+        # Fused streaming runs: the fused kernel path must satisfy the
+        # same dynamic invariants as the unfused one.
         "fusion": {"fusion": True},
     }
     report = SanitizerReport(suite="tpch")

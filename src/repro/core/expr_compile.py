@@ -1,17 +1,19 @@
 """Compilation of plan expressions into reusable vectorized closures.
 
-:mod:`repro.core.expr_eval` walks the expression tree once per chunk,
-re-dispatching every node through ``isinstance`` checks and re-parsing
-call options (LIKE patterns, cast targets, substring offsets) each time.
-The fused pipeline path instead **compiles** each expression once per
-pipeline: :func:`compile_expression` resolves the dispatch at compile
-time and hoists all constant option parsing, returning a closure that
-only performs the per-chunk kernel calls.
+This is the engine's only expression evaluator.  Every operator that
+evaluates an expression (filters, projections, pushed scan filters, join
+residuals, aggregate measure arguments, fused regions) compiles it once,
+in its constructor: :func:`compile_expression` resolves the per-node
+dispatch and hoists all constant option parsing (LIKE patterns, cast
+targets, substring offsets), returning a closure that only performs the
+per-chunk kernel calls.  Literals evaluate to Python scalars; the parent
+kernel broadcasts them, so constants never materialise columns unless an
+expression is a bare literal.
 
-The closures invoke exactly the same kernels with the same arguments as
-the interpreter, so compiled results are bit-identical to
-:func:`~repro.core.expr_eval.evaluate` by construction — this is what
-the fused==unfused equivalence gate relies on.
+Compilation is also the single place that decides whether the device can
+lower an expression: a construct it cannot run raises
+:class:`UnsupportedExpressionError` while the physical plan is built, so
+the engine falls back before any kernel launches.
 
 Common-subexpression elimination: every node is keyed by the stable
 digest of its ``to_dict()`` form and memoised in a caller-owned ``cache``
@@ -19,7 +21,8 @@ dict, so a subtree shared between a filter predicate and a later
 projection in the same fused run evaluates once.  A cache is only valid
 for one *table epoch* — the caller must supply a fresh dict whenever the
 chunk object changes (after a compaction or projection), because cached
-``GColumn`` results are positional.
+``GColumn`` results are positional.  Unfused operators pass a fresh cache
+per expression, so each expression launches its kernels independently.
 """
 
 from __future__ import annotations
@@ -55,15 +58,10 @@ from ..kernels import (
     substring,
 )
 from ..plan import Expression, FieldRef, Literal, ScalarCall
-from .expr_eval import (
-    UnsupportedExpressionError,
-    _fold_scalar_arith,
-    _fold_scalar_cmp,
-    _literal_value,
-)
 
 __all__ = [
     "CompiledFn",
+    "UnsupportedExpressionError",
     "compile_expression",
     "compile_predicate",
     "compile_projection",
@@ -76,6 +74,10 @@ CompiledFn = Callable[[GTable, dict], Any]
 _MISS = object()
 
 
+class UnsupportedExpressionError(NotImplementedError):
+    """An expression Sirius cannot run on the GPU (triggers CPU fallback)."""
+
+
 def expression_digest(expr: Expression) -> str:
     """Stable structural key for CSE caching (and closure-cache keying)."""
     return json.dumps(expr.to_dict(), sort_keys=True, default=str)
@@ -84,9 +86,8 @@ def expression_digest(expr: Expression) -> str:
 def compile_expression(expr: Expression) -> CompiledFn:
     """Compile ``expr`` to a closure over ``(table, cache)``.
 
-    Raises :class:`UnsupportedExpressionError` at compile time for any
-    node the interpreter would reject at run time, so planner passes can
-    decline fusion before execution starts.
+    Raises :class:`UnsupportedExpressionError` for any node the device
+    cannot lower, before a single kernel runs.
     """
     if isinstance(expr, FieldRef):
         index = expr.index
@@ -100,8 +101,7 @@ def compile_expression(expr: Expression) -> CompiledFn:
 
 
 def compile_predicate(expr: Expression) -> Callable[[GTable, dict], np.ndarray]:
-    """Compile a boolean expression to a keep-mask closure (NULL -> False);
-    mirrors :func:`~repro.core.expr_eval.evaluate_predicate`."""
+    """Compile a boolean expression to a keep-mask closure (NULL -> False)."""
     node = compile_expression(expr)
 
     def run(table: GTable, cache: dict) -> np.ndarray:
@@ -114,9 +114,14 @@ def compile_predicate(expr: Expression) -> Callable[[GTable, dict], np.ndarray]:
 
 
 def compile_projection(expr: Expression, dtype: DType | None = None) -> CompiledFn:
-    """Compile a projection expression, materialising bare scalars with
-    the planner-typed ``dtype`` (mirrors
-    :func:`~repro.core.expr_eval.evaluate_to_column`)."""
+    """Compile a projection expression, materialising bare scalars as
+    columns.
+
+    ``dtype`` is the planner-typed output type for the expression's slot;
+    without it a bare literal would be materialised with a dtype inferred
+    from its Python value (e.g. ``0`` -> INT64 in a FLOAT64 column
+    position, ``None`` -> INT64 regardless of the typed NULL's dtype).
+    """
     node = compile_expression(expr)
 
     def run(table: GTable, cache: dict) -> GColumn:
@@ -153,8 +158,8 @@ def _as_column(node: CompiledFn) -> CompiledFn:
 
 
 def _compile_call(call: ScalarCall) -> CompiledFn:
-    """One branch per scalar function, mirroring ``expr_eval._call`` with
-    the dispatch and option parsing hoisted to compile time."""
+    """One branch per scalar function, with the dispatch and option
+    parsing hoisted to compile time."""
     f = call.func
 
     if f in ("add", "subtract", "multiply", "divide", "modulo"):
@@ -372,3 +377,33 @@ def _compile_call(call: ScalarCall) -> CompiledFn:
         return lambda table, cache: substring(operand(table, cache), start, length)
 
     raise UnsupportedExpressionError(f"scalar function {f!r} not supported on device")
+
+
+def _fold_scalar_arith(op: str, left, right):
+    """Fold arithmetic between two constants; NULL propagates."""
+    if left is None or right is None:
+        return None
+    if op == "divide":
+        return left / right if right != 0 else None
+    table = {
+        "add": left + right,
+        "subtract": left - right,
+        "multiply": left * right,
+        "modulo": left % right if right != 0 else None,
+    }
+    return table[op]
+
+
+def _fold_scalar_cmp(op: str, left, right) -> bool:
+    """Fold a comparison of two constants (e.g. optimizer leftovers)."""
+    if left is None or right is None:
+        return False
+    table = {"eq": left == right, "ne": left != right, "lt": left < right,
+             "le": left <= right, "gt": left > right, "ge": left >= right}
+    return bool(table[op])
+
+
+def _literal_value(expr: Expression, what: str):
+    if not isinstance(expr, Literal):
+        raise UnsupportedExpressionError(f"{what} must be a literal, got {expr!r}")
+    return expr.value

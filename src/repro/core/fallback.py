@@ -31,7 +31,7 @@ from ..gpu.device import TransientKernelError
 from ..gpu.memory import OutOfDeviceMemory
 from ..obs import NULL_TRACER
 from ..plan import Plan
-from .expr_eval import UnsupportedExpressionError
+from .expr_compile import UnsupportedExpressionError
 from .operators.base import UnsupportedFeatureError
 
 __all__ = [
@@ -39,7 +39,6 @@ __all__ = [
     "FallbackEvent",
     "DegradationTier",
     "FALLBACK_EXCEPTIONS",
-    "predict_tier",
 ]
 
 FALLBACK_EXCEPTIONS = (
@@ -56,22 +55,6 @@ def plan_fingerprint(plan: Plan) -> str:
         return hashlib.sha1(plan.to_json().encode("utf-8")).hexdigest()[:12]
     except Exception:
         return "unknown"
-
-
-def predict_tier(plan: Plan, catalog=None, device=None) -> str:
-    """Statically predict the degradation tier ``plan`` will need.
-
-    The runtime ladder below discovers the right tier by *failing
-    through* it; this asks the plan analyzer up front, so admission can
-    reject or pre-degrade a query before any GPU memory is committed.
-    Returns ``"gpu"`` (happy path), ``"gpu-retry-spill"``, ``"cpu-plan"``,
-    or ``"reject"`` (the plan cannot execute at all).
-    """
-    # Imported lazily: repro.analysis imports this module (and, through
-    # the estimator, most of repro.sched) at load time.
-    from ..analysis import analyze_plan
-
-    return analyze_plan(plan, catalog, device).suggested_tier
 
 
 @dataclass(frozen=True)

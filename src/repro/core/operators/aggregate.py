@@ -15,7 +15,7 @@ from ...columnar import Field, Schema, Table
 from ...kernels import AggSpec, GTable, binary_arith, concat_gtables, fill_constant, reduce_column
 from ...plan import AggregateCall
 from ...plan.expressions import aggregate_result_type
-from .. import expr_eval
+from ..expr_compile import compile_projection
 from .base import Category, ExecutionContext, SinkOperator, dispose_consumed
 
 __all__ = ["GroupBySink", "PartitionedGroupBySink", "GlobalAggSink"]
@@ -36,6 +36,7 @@ class GroupBySink(SinkOperator):
         self.group_indices = list(group_indices)
         self.measures = list(measures)
         self.input_schema = input_schema
+        self.measure_args = _compile_measure_args(self.measures)
 
     def output_schema(self) -> Schema:
         fields = [self.input_schema.fields[i] for i in self.group_indices]
@@ -59,10 +60,8 @@ class GroupBySink(SinkOperator):
         keys = [data.columns[i] for i in self.group_indices]
         specs: list[AggSpec] = []
         post_avg: list[tuple[int, int, int]] = []  # (out_pos, sum_pos, count_pos)
-        for agg, name in self.measures:
-            arg_col = (
-                expr_eval.evaluate_to_column(agg.arg, data) if agg.arg is not None else None
-            )
+        for (agg, name), arg in zip(self.measures, self.measure_args):
+            arg_col = arg(data, {}) if arg is not None else None
             if agg.op == "avg":
                 # Decompose: avg = sum / count, fused back after the kernel.
                 sum_pos = len(specs)
@@ -219,6 +218,7 @@ class GlobalAggSink(SinkOperator):
     def __init__(self, measures, input_schema: Schema):
         self.measures = list(measures)
         self.input_schema = input_schema
+        self.measure_args = _compile_measure_args(self.measures)
 
     def output_schema(self) -> Schema:
         return Schema(
@@ -240,8 +240,8 @@ class GlobalAggSink(SinkOperator):
             data = chunks[0] if len(chunks) == 1 else concat_gtables(chunks)
 
         columns = []
-        for (agg, name), field in zip(self.measures, out_schema):
-            value = self._reduce(agg, data)
+        for (agg, _name), arg, field in zip(self.measures, self.measure_args, out_schema):
+            value = self._reduce(agg, arg, data)
             if value is None:
                 col = fill_constant(ctx.device, 1, 0, field.dtype)
                 import numpy as np
@@ -252,12 +252,12 @@ class GlobalAggSink(SinkOperator):
                 columns.append(fill_constant(ctx.device, 1, value, field.dtype))
         return GTable(out_schema, columns, ctx.device)
 
-    def _reduce(self, agg: AggregateCall, data: GTable | None):
+    def _reduce(self, agg: AggregateCall, arg, data: GTable | None):
         if data is None or data.num_rows == 0:
             return 0 if agg.op in ("count", "count_star") else None
         if agg.op == "count_star":
             return data.num_rows
-        col = expr_eval.evaluate_to_column(agg.arg, data)
+        col = arg(data, {})
         op = agg.op
         if op == "count" and agg.distinct:
             op = "count_distinct"
@@ -267,3 +267,11 @@ class GlobalAggSink(SinkOperator):
 
     def describe(self) -> str:
         return f"GlobalAgg({[n for _, n in self.measures]})"
+
+
+def _compile_measure_args(measures) -> list:
+    """One compiled argument closure per measure (``None`` for ``count(*)``)."""
+    return [
+        compile_projection(agg.arg) if agg.arg is not None else None
+        for agg, _name in measures
+    ]

@@ -11,11 +11,11 @@ only the final result: all interior traffic is recorded but priced at
 zero by :meth:`Device.fused_kernel`, and the whole run bills a single
 kernel launch.
 
-Expressions are compiled once at plan time (here, in ``__init__`` — the
-RR04 lint requires operators to be stateless after construction) into
-vectorized closures via :mod:`repro.core.expr_compile`; the closures call
-the exact same kernels as the interpreter, so fused results are
-bit-identical to the unfused pipeline.
+Every stage compiled its expressions in its own constructor (via
+:mod:`repro.core.expr_compile`); the fused region reuses those closures,
+so fused and unfused stages call the same kernels on the same rows and
+results are bit-identical to the unfused pipeline.  The only difference
+is the CSE cache's lifetime (below) and the pricing of interior traffic.
 
 Filter stages compact survivors eagerly (``mask_table``), which is the
 short-circuit mask propagation: every later stage only touches rows that
@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from ...columnar import Schema
 from ...kernels import GTable, mask_table
-from ..expr_compile import compile_predicate, compile_projection
 from .base import Category, ExecutionContext, StreamingOperator
 from .streaming import FilterOp, ProjectOp
 
@@ -47,14 +46,9 @@ class FusedOp(StreamingOperator):
         program = []
         for stage in stages:
             if isinstance(stage, FilterOp):
-                program.append(("filter", compile_predicate(stage.condition)))
+                program.append(("filter", stage.predicate))
             elif isinstance(stage, ProjectOp):
-                schema = stage.output_schema()
-                projections = [
-                    compile_projection(expr, dtype=field.dtype)
-                    for expr, field in zip(stage.expressions, schema.fields)
-                ]
-                program.append(("project", (projections, schema)))
+                program.append(("project", (stage.projections, stage.output_schema())))
             else:
                 raise TypeError(f"cannot fuse {type(stage).__name__}")
         self.stages = stages

@@ -25,7 +25,7 @@ from ...gpu.costmodel import KernelClass
 from ...kernels import GTable, anti_join, gather_table, inner_join, left_join, mask_table, semi_join
 from ...kernels.join import JoinResult, _expand, _match_ranges
 from ...kernels.keys import factorize_keys
-from .. import expr_eval
+from ..expr_compile import compile_predicate
 from .base import (
     Category,
     ChunkStream,
@@ -144,6 +144,7 @@ class HashJoinProbe(StreamingOperator):
         self.probe_schema = probe_schema
         self.build_schema = build_schema
         self.post_filter = post_filter
+        self._residual = compile_predicate(post_filter) if post_filter is not None else None
 
     def output_schema(self) -> Schema:
         if self.join_type in ("semi", "anti"):
@@ -194,7 +195,7 @@ class HashJoinProbe(StreamingOperator):
             # Residual predicates are *filtering* work (Q13's NOT LIKE on
             # o_comment lives here); attribute them as Figure 5 does.
             with ctx.device.clock.attributed(Category.FILTER):
-                keep = expr_eval.evaluate_predicate(self.post_filter, out)
+                keep = self._residual(out, {})
                 out = mask_table(out, keep)
         return out
 
@@ -216,7 +217,7 @@ class HashJoinProbe(StreamingOperator):
             self.output_schema(), list(left_out.columns) + list(right_out.columns), chunk.device
         )
         if self.post_filter is not None:
-            keep = expr_eval.evaluate_predicate(self.post_filter, out)
+            keep = self._residual(out, {})
             out = mask_table(out, keep)
         return out
 
@@ -235,7 +236,7 @@ class HashJoinProbe(StreamingOperator):
             chunk.device,
         )
         with ctx.device.clock.attributed(Category.FILTER):
-            keep = expr_eval.evaluate_predicate(self.post_filter, combined)
+            keep = self._residual(combined, {})
         matched_probe = np.unique(pairs.left_indices[keep])
         ctx.device.launch(KernelClass.STREAM, pairs.left_indices.nbytes, matched_probe.nbytes, len(pairs))
         if self.join_type == "semi":

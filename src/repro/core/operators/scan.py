@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from ...columnar import Schema
 from ...kernels import GTable, mask_table, slice_table
-from .. import expr_eval
+from ..expr_compile import compile_predicate
 from .base import Category, ExecutionContext, SourceOperator, UnsupportedFeatureError
 
 __all__ = ["TableScan", "IntermediateSource"]
@@ -24,6 +24,7 @@ class TableScan(SourceOperator):
         self.schema = schema
         self.projection = list(projection) if projection is not None else None
         self.filter_expr = filter_expr
+        self._filter = compile_predicate(filter_expr) if filter_expr is not None else None
 
     def output_schema(self) -> Schema:
         if self.projection is None:
@@ -47,10 +48,10 @@ class TableScan(SourceOperator):
             yield self._filtered(ctx, chunk)
 
     def _filtered(self, ctx: ExecutionContext, chunk: GTable) -> GTable:
-        if self.filter_expr is None:
+        if self._filter is None:
             return chunk
         with ctx.device.clock.attributed(Category.FILTER):
-            keep = expr_eval.evaluate_predicate(self.filter_expr, chunk)
+            keep = self._filter(chunk, {})
             return mask_table(chunk, keep)
 
     def describe(self) -> str:

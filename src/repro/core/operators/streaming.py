@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from ...columnar import Schema
 from ...kernels import GTable, mask_table
-from .. import expr_eval
+from ..expr_compile import compile_predicate, compile_projection
 from .base import Category, ExecutionContext, StreamingOperator
 
 __all__ = ["FilterOp", "ProjectOp"]
@@ -18,12 +18,13 @@ class FilterOp(StreamingOperator):
     def __init__(self, condition, input_schema: Schema):
         self.condition = condition
         self.input_schema = input_schema
+        self.predicate = compile_predicate(condition)
 
     def output_schema(self) -> Schema:
         return self.input_schema
 
     def process(self, ctx: ExecutionContext, chunk: GTable, state: dict) -> GTable:
-        keep = expr_eval.evaluate_predicate(self.condition, chunk)
+        keep = self.predicate(chunk, {})
         return mask_table(chunk, keep)
 
     def describe(self) -> str:
@@ -39,15 +40,18 @@ class ProjectOp(StreamingOperator):
         self.expressions = list(expressions)
         self.names = list(names)
         self._schema = output_schema
+        self.projections = [
+            compile_projection(e, dtype=field.dtype)
+            for e, field in zip(self.expressions, output_schema.fields)
+        ]
 
     def output_schema(self) -> Schema:
         return self._schema
 
     def process(self, ctx: ExecutionContext, chunk: GTable, state: dict) -> GTable:
-        columns = [
-            expr_eval.evaluate_to_column(e, chunk, dtype=field.dtype)
-            for e, field in zip(self.expressions, self._schema.fields)
-        ]
+        # A fresh CSE cache per expression, so each expression launches
+        # its own kernels; only a fused stage shares one across its list.
+        columns = [p(chunk, {}) for p in self.projections]
         return GTable(self._schema, columns, chunk.device)
 
     def describe(self) -> str:

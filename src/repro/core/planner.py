@@ -38,7 +38,6 @@ from .operators.join import (
     PartitionedHashJoinBuildSink,
     PartitionedHashJoinProbe,
 )
-from .expr_eval import UnsupportedExpressionError
 from .operators.fused import FusedOp
 from .operators.scan import IntermediateSource, TableScan
 from .operators.sort import FetchSink, MaterializeSink, SortSink, TopNSink
@@ -250,22 +249,20 @@ def fuse_operators(operators: "list[StreamingOperator]") -> "list[StreamingOpera
       entangled with the join semantics (filter the matched pairs, then
       reduce to distinct probe rows) — and neither are partitioned
       (out-of-core) probes, whose residual runs per leaf before the
-      emitted chunks are re-coalesced under the partition budget;
-    * an expression the compiler cannot lower leaves its run unfused
-      (the interpreter path would reject it identically at run time, so
-      this preserves the engine's fallback behaviour).
+      emitted chunks are re-coalesced under the partition budget.
+
+    Every operator compiled its expressions when it was constructed, so a
+    plan with an expression the device cannot lower never reaches this
+    pass: :func:`compile_plan` has already raised
+    :class:`~repro.core.expr_compile.UnsupportedExpressionError`.
     """
     fused: list[StreamingOperator] = []
     run: list[StreamingOperator] = []
 
     def flush() -> None:
-        if not run:
-            return
-        try:
+        if run:
             fused.append(FusedOp(run[:]))
-        except UnsupportedExpressionError:
-            fused.extend(run)
-        run.clear()
+            run.clear()
 
     for op in operators:
         if type(op) in (FilterOp, ProjectOp):
@@ -314,6 +311,11 @@ def compile_plan(
     With ``fusion=True``, each pipeline's streaming run is post-processed
     by :func:`fuse_operators`; the default leaves the operator lists
     byte-identical to the seed planner.
+
+    Operators compile their expressions as they are constructed, so an
+    expression the device cannot lower raises
+    :class:`~repro.core.expr_compile.UnsupportedExpressionError` here,
+    before any kernel runs.
     """
     compiler = _Compiler(
         out_of_core=out_of_core,

@@ -50,6 +50,13 @@ class CpuEvalError(NotImplementedError):
     """The CPU engine met a plan construct it cannot execute."""
 
 
+def _literal_arg(arg, what: str):
+    """The value of a call argument the CPU engine requires to be a literal."""
+    if not isinstance(arg, Literal):
+        raise CpuEvalError(f"{what} must be a literal, got {arg!r}")
+    return arg.value
+
+
 class _Vec:
     """A host vector during evaluation: values + validity (None = scalar)."""
 
@@ -659,7 +666,7 @@ class CpuEngine:
 
         if f in ("like", "not_like", "contains", "starts_with"):
             a = self._eval(call.args[0], table)
-            pattern = call.args[1].value
+            pattern = _literal_arg(call.args[1], f"{f} pattern")
             if f == "contains":
                 pattern = f"%{pattern}%"
             elif f == "starts_with":
@@ -675,7 +682,7 @@ class CpuEngine:
 
         if f in ("in", "not_in"):
             a = self._eval(call.args[0], table)
-            literals = [arg.value for arg in call.args[1:]]
+            literals = [_literal_arg(arg, "IN list element") for arg in call.args[1:]]
             if a.dtype.is_string:
                 targets = {str(v) for v in literals}
                 decoded = self._decode(a)
@@ -763,8 +770,8 @@ class CpuEngine:
 
         if f == "substring":
             a = self._eval(call.args[0], table)
-            start = int(call.args[1].value)
-            length = int(call.args[2].value)
+            start = int(_literal_arg(call.args[1], "substring start"))
+            length = int(_literal_arg(call.args[2], "substring length"))
             decoded = self._decode(a)
             values = [
                 None if s is None else str(s)[start - 1 : start - 1 + length] for s in decoded
@@ -804,7 +811,7 @@ class CpuEngine:
 
         if f == "round":
             a = self._eval(call.args[0], table)
-            digits = int(call.args[1].value) if len(call.args) > 1 else 0
+            digits = int(_literal_arg(call.args[1], "round digits")) if len(call.args) > 1 else 0
             out = np.round(a.values.astype(np.float64), digits)
             return self._num_vec(out, a.valid, FLOAT64)
 

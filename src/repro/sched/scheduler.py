@@ -36,6 +36,7 @@ from typing import Callable, Mapping
 
 from ..columnar import Table
 from ..core.deadline import Deadline, DeadlineExceededError, DidNotFinishError
+from ..core.expr_compile import UnsupportedExpressionError
 from ..core.fallback import FALLBACK_EXCEPTIONS
 from ..core.sirius import OOC_RETRY_BATCH_ROWS, SiriusEngine
 from ..obs import NULL_TRACER
@@ -451,14 +452,19 @@ class ServingScheduler:
                     tier=job.degraded_tier,
                 )
                 self.tracer.count("sched.pre_degraded")
-        job.qrun = self.engine.start_query(
-            job.plan,
-            job.catalog,
-            deadline=job.deadline,
-            tracer=job.tracer,
-            batch_rows=batch_rows,
-            out_of_core=out_of_core,
-        )
+        try:
+            job.qrun = self.engine.start_query(
+                job.plan,
+                job.catalog,
+                deadline=job.deadline,
+                tracer=job.tracer,
+                batch_rows=batch_rows,
+                out_of_core=out_of_core,
+            )
+        except UnsupportedExpressionError as exc:
+            # Rejected while compiling: no retry tier can lower it either.
+            self._finish(job, vt, error=exc)
+            return
         job.state = JobState.RUNNING
         job.ready_at = vt
         self.running.append(job)
@@ -542,14 +548,18 @@ class ServingScheduler:
         self.degraded += 1
         self.engine.buffer_manager.enable_spill = True
         retry_batch = min(self.batch_rows or OOC_RETRY_BATCH_ROWS, OOC_RETRY_BATCH_ROWS)
-        job.qrun = self.engine.start_query(
-            job.plan,
-            job.catalog,
-            deadline=job.deadline,
-            tracer=job.tracer,
-            batch_rows=retry_batch,
-            out_of_core=out_of_core,
-        )
+        try:
+            job.qrun = self.engine.start_query(
+                job.plan,
+                job.catalog,
+                deadline=job.deadline,
+                tracer=job.tracer,
+                batch_rows=retry_batch,
+                out_of_core=out_of_core,
+            )
+        except UnsupportedExpressionError as compile_error:
+            self._finish(job, end, error=compile_error)
+            return
         self.tracer.event(
             "sched.degraded",
             sim_time=end,

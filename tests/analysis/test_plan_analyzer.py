@@ -20,6 +20,7 @@ from repro.analysis import (
 )
 from repro.analysis.plan_analyzer import PLAN_RULES
 from repro.columnar import Schema, Table
+from repro.core import UnsupportedExpressionError, compile_plan
 from repro.gpu import GH200, Device
 from repro.plan import Plan
 from repro.plan.expressions import AggregateCall, FieldRef, Literal, ScalarCall
@@ -243,3 +244,32 @@ class TestReportShape:
         rel = ProjectRel(ReadRel("missing", SCHEMA), [FieldRef(42)], ["x"])
         report = analyze_plan(Plan(rel))  # no catalog, no device
         assert not report.ok
+
+
+class TestGpuSupportMatchesCompiler:
+    """PA08 asks the expression compiler itself, so the analyzer's verdict
+    and ``compile_plan`` agree on every expression — including ones no
+    hand-kept table of literal-only arguments listed (``round`` digits)."""
+
+    @pytest.mark.parametrize(
+        "expr",
+        [
+            ScalarCall("like", [FieldRef(3), FieldRef(3)]),
+            ScalarCall("like", [FieldRef(3), Literal("a%")]),
+            ScalarCall("round", [FieldRef(2), FieldRef(0)]),
+            ScalarCall("round", [FieldRef(2), Literal(1)]),
+        ],
+        ids=["like-column", "like-literal", "round-column", "round-literal"],
+    )
+    def test_verdict_matches_compile_plan(self, catalog, expr):
+        plan = Plan(ProjectRel(read(), [expr], ["x"]))
+        report = analyze_plan(plan, catalog)
+        try:
+            compile_plan(plan)
+        except UnsupportedExpressionError as exc:
+            assert not report.gpu_supported
+            assert [f.message for f in report.findings if f.rule == "PA08"] == [
+                f"projection 'x': {exc}"
+            ]
+        else:
+            assert report.gpu_supported

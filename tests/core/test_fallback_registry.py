@@ -7,7 +7,9 @@ from repro.core import SiriusEngine
 from repro.core.operators.base import OperatorRegistry
 from repro.gpu.specs import A100_40G
 from repro.hosts import CpuEngine
-from repro.plan import PlanBuilder, col, lit
+from repro.plan import Plan, PlanBuilder, col, lit
+from repro.plan.expressions import FieldRef, ScalarCall
+from repro.plan.relations import FilterRel, ReadRel
 
 SCHEMA = Schema([("k", "int64"), ("v", "float64")])
 
@@ -66,6 +68,32 @@ class TestFallback:
         plan = PlanBuilder.read("t", SCHEMA).build()
         engine.execute(plan, data)
         assert engine.last_profile is None  # GPU profile would be misleading
+
+    @pytest.mark.parametrize("fusion", [False, True])
+    def test_unsupported_expression_goes_straight_to_host(self, fusion):
+        # A non-literal LIKE pattern cannot be lowered to the device: the
+        # plan is refused while it compiles, so no GPU work is charged and
+        # no GPU retry tier is attempted before the host runs it.
+        schema = Schema([("s", "string"), ("p", "string")])
+        data = {"s": Table.from_pydict({"s": ["ab", "cd"], "p": ["a%", "x%"]}, schema)}
+        calls = []
+
+        def host(plan):
+            calls.append(plan)
+            return data["s"]
+
+        engine = SiriusEngine.for_spec(
+            A100_40G, memory_limit_gb=1.0, host_executor=host, fusion=fusion
+        )
+        cond = ScalarCall("like", [FieldRef(0), FieldRef(1)])
+        engine.execute(Plan(FilterRel(ReadRel("s", schema), cond)), data)
+        assert len(calls) == 1
+        (event,) = engine.fallback.events
+        assert event.exception_type == "UnsupportedExpressionError"
+        assert event.tier == "cpu-plan"
+        assert event.tiers_attempted == ("cpu-plan",)
+        assert engine.device.clock.now == 0.0
+        assert engine.last_profile is None
 
 
 class TestRegistry:

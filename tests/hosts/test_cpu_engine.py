@@ -6,7 +6,9 @@ import pytest
 
 from repro.columnar import Schema, Table
 from repro.hosts import CpuEngine, CpuEvalError, DidNotFinishError
-from repro.plan import PlanBuilder, col, lit
+from repro.plan import Plan, PlanBuilder, col, lit
+from repro.plan.expressions import FieldRef, ScalarCall
+from repro.plan.relations import FilterRel, ReadRel
 
 SCHEMA = Schema([("k", "int64"), ("s", "string"), ("v", "float64"), ("d", "date")])
 
@@ -128,6 +130,15 @@ class TestEngineBehaviours:
     def test_missing_table_raises(self, engine):
         with pytest.raises(CpuEvalError, match="not found"):
             run(engine, PlanBuilder.read("t", SCHEMA), {})
+
+    @pytest.mark.parametrize(
+        "func", ["like", "not_like", "contains", "starts_with", "in", "not_in"]
+    )
+    def test_non_literal_argument_raises_typed_error(self, engine, data, func):
+        cond = ScalarCall(func, [FieldRef(1), FieldRef(1)])
+        plan = Plan(FilterRel(ReadRel("t", SCHEMA), cond))
+        with pytest.raises(CpuEvalError, match="must be a literal"):
+            engine.execute(plan, data)
 
     def test_row_budget_enforced(self, data):
         engine = CpuEngine(max_intermediate_rows=5)

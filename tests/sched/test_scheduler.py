@@ -3,11 +3,15 @@ concurrency throughput win, and degradation under contention."""
 
 import pytest
 
-from repro.core import SiriusEngine
+from repro.columnar import Schema, Table
+from repro.core import SiriusEngine, UnsupportedExpressionError
 from repro.faults import FaultInjector, FaultPlan
 from repro.gpu.specs import GH200
 from repro.hosts import MiniDuck
 from repro.obs import Tracer
+from repro.plan import Plan
+from repro.plan.expressions import FieldRef, ScalarCall
+from repro.plan.relations import FilterRel, ReadRel
 from repro.sched import (
     JobState,
     ServingScheduler,
@@ -190,6 +194,27 @@ class TestDegradationUnderContention:
         for job in report.jobs:
             if job.state == JobState.FAILED:
                 assert job.degraded_tier == "gpu-spill"
+
+    @pytest.mark.parametrize("fusion", [False, True])
+    def test_unsupported_expression_fails_without_retries(self, data, plans, fusion):
+        """A plan the device cannot lower (non-literal LIKE pattern) is
+        refused at compile time: the job fails with the typed error, walks
+        no retry tier, charges no service time, and the run still reports."""
+        schema = Schema([("s", "string"), ("p", "string")])
+        catalog = {"s": Table.from_pydict({"s": ["ab", "cd"], "p": ["a%", "x%"]}, schema)}
+        cond = ScalarCall("like", [FieldRef(0), FieldRef(1)])
+        engine = fresh_engine(data, fusion=fusion)
+        sched = ServingScheduler(engine, policy="fifo", streams=2)
+        bad = sched.submit(Plan(FilterRel(ReadRel("s", schema), cond)), catalog, label="bad")
+        good = sched.submit(plans[6], data, label="q6")
+        report = sched.run()
+        assert bad.state == JobState.FAILED
+        assert isinstance(bad.error, UnsupportedExpressionError)
+        assert bad.degraded_tier is None
+        assert bad.service_s == 0
+        assert good.state == JobState.COMPLETED
+        assert report.counters["failed"] == 1
+        assert report.counters["degraded"] == 0
 
 
 class TestClosedLoop:
